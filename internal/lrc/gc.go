@@ -20,8 +20,8 @@
 //   - Interval records at node y serve two purposes: forwarding to peers
 //     (collectNotices sends only records past the requester's vector, and
 //     every vector is at least minVec[q] = min over nodes of vec[q]), and
-//     happens-before ordering of y's OWN access misses (intervalBefore
-//     consults record (q,j) only for j inside one of y's pending fetch
+//     happens-before ordering of y's OWN access misses (accessMiss resolves
+//     the vector of record (q,j) only for j inside one of y's pending fetch
 //     windows (applied, noticed]). So records of writer q at node y are
 //     dead up to recFloor_y[q] = min(minVec[q], min applied over y's own
 //     pending windows for q); for y == q additionally capped by
@@ -98,7 +98,9 @@ func (g *GC) Report() GCReport { return g.report }
 
 // NoticeBytes returns the machine-wide notice-history footprint: the wire
 // size of every retained interval record on every node plus every stored
-// diff at its writer. This is the quantity GC bounds.
+// diff at its writer. This is the quantity GC bounds. It is wire bytes, not
+// host memory: a record shared by many nodes is held once but counted once
+// per holder.
 func (g *GC) NoticeBytes() int64 {
 	var b int64
 	for _, n := range g.nodes {
@@ -110,7 +112,9 @@ func (g *GC) NoticeBytes() int64 {
 // NoticeHistoryBytes is one node's share of the notice-history footprint:
 // retained interval records plus the node's own stored diffs, in wire bytes.
 // The runner reports the machine-wide sum so GC-off and GC-on footprints
-// compare directly.
+// compare directly. Interval records are shared in host memory (absorb keeps
+// the sender's pointer), so the sum counts each record once per node that
+// holds it and is not a measure of host memory.
 func (n *Node) NoticeHistoryBytes() int64 {
 	var b int64
 	for _, recs := range n.records {

@@ -139,15 +139,6 @@ type pendingWriter struct {
 	upTo  int32
 }
 
-// applyUnit is one writer interval's modifications, the happens-before
-// ordering unit of an access miss.
-type applyUnit struct {
-	proc int
-	ival int32
-	dr   []wcollect.DataRun
-	sr   []wcollect.StampRun
-}
-
 // Node is one processor's LRC engine. It implements core.DSM.
 type Node struct {
 	nodebase.Base
@@ -178,7 +169,11 @@ type Node struct {
 	arrivalRecs     map[int][]*interval // manager: buffered records, absorbed at departure
 	arrivalMins     map[int][]int32     // tree fan-in: subtree min vector per child arrival
 
-	missWriters []pendingWriter // accessMiss scratch, reused across misses
+	// accessMiss scratch, reused across misses; the ordering scratch is
+	// pooled (see missOrder).
+	missWriters []pendingWriter
+	missWaiters []*sim.Waiter
+	missReplies []*pageReply
 
 	gc        *GC           // shared notice-history collector, nil when GC is off
 	recFloor  []int32       // per-writer record kill floor at this node (GC only)
@@ -470,8 +465,13 @@ func (n *Node) absorb(records []*interval, senderVec []int32) sim.Time {
 	return work
 }
 
+// hasRecord reports whether this node holds record (proc, idx). An index
+// past the last record, the common case for fresh notices, answers at once.
 func (n *Node) hasRecord(proc int, idx int32) bool {
 	recs := n.records[proc]
+	if len(recs) == 0 || idx > recs[len(recs)-1].idx {
+		return false
+	}
 	i := sort.Search(len(recs), func(i int) bool { return recs[i].idx >= idx })
 	return i < len(recs) && recs[i].idx == idx
 }
@@ -485,9 +485,14 @@ func (n *Node) record(proc int, idx int32) *interval {
 	return nil
 }
 
-// recordsAfter returns the records of q with index beyond bound.
+// recordsAfter returns the records of q with index beyond bound. A bound at
+// or past the last record, the common case for an up-to-date peer, answers
+// at once.
 func (n *Node) recordsAfter(q int, bound int32) []*interval {
 	recs := n.records[q]
+	if len(recs) == 0 || bound >= recs[len(recs)-1].idx {
+		return recs[len(recs):]
+	}
 	i := sort.Search(len(recs), func(i int) bool { return recs[i].idx > bound })
 	return recs[i:]
 }
@@ -563,108 +568,43 @@ func (n *Node) accessMiss(pg int, write bool) {
 	}
 
 	// Parallel requests, as TreadMarks issues its diff requests.
-	waiters := make([]*sim.Waiter, len(writers))
-	for i, w := range writers {
+	waiters := n.missWaiters[:0]
+	for _, w := range writers {
 		req := fabric.Payload{Kind: fabric.PayloadPageReq, A: int32(pg), B: w.since, C: w.upTo}
-		waiters[i] = n.Net.CallAsync(n.P, w.proc, kindFetchReq, 12, req)
+		waiters = append(waiters, n.Net.CallAsync(n.P, w.proc, kindFetchReq, 12, req))
 	}
-	var units []applyUnit
-	for i, w := range waiters {
+	replies := n.missReplies[:0]
+	for _, w := range waiters {
 		reply := n.Net.Await(w, "lrc-fetch")
-		fr := reply.Payload.Body.(*pageReply)
-		switch n.impl.Collect {
-		case core.Diffs:
-			for _, idf := range fr.Diffs {
-				units = append(units, applyUnit{proc: writers[i].proc, ival: idf.Ival, dr: idf.Diff.Runs})
-			}
-		case core.Timestamps:
-			// Split the stamped runs per interval for ordered application.
-			// Data[k] carries the bytes of Runs[k], so the split needs no
-			// by-address lookup; units appear in first-seen interval order
-			// and runs stay in address order within each unit.
-			for k, sr := range fr.Stamped.Runs {
-				p, iv := sr.Stamp.ProcInterval()
-				if p != writers[i].proc {
-					panic("lrc: responder sent foreign stamps")
-				}
-				u := (*applyUnit)(nil)
-				for j := range units {
-					if units[j].proc == p && units[j].ival == int32(iv) {
-						u = &units[j]
-						break
-					}
-				}
-				if u == nil {
-					units = append(units, applyUnit{proc: p, ival: int32(iv)})
-					u = &units[len(units)-1]
-				}
-				u.sr = append(u.sr, sr)
-				u.dr = append(u.dr, fr.Stamped.Data[k])
-			}
-		}
+		replies = append(replies, reply.Payload.Body.(*pageReply))
 	}
 
-	// Apply in happens-before order: unit a must precede b when b's
-	// interval vector covers a's interval. Happens-before plus an arbitrary
-	// tie-break is NOT a strict weak order (incomparability is not
-	// transitive), so a comparison sort would be unsound; use an explicit
-	// topological selection instead. Concurrent units touch disjoint words
-	// (they arise only from multi-writer false sharing), so their relative
-	// order matters only for determinism.
-	//
-	// Each unit's closed-interval vector is resolved once up front: the
-	// happens-before test is then a single array index. The selection runs
-	// Kahn's algorithm over precomputed in-degrees, always extracting the
-	// (proc, ival)-minimum source — the same order the naive re-scan
-	// produced, but in O(k^2) integer compares instead of O(k^3) binary
-	// searches over the full record history, which dominated wall clock on
-	// pages with many concurrent writers at 256-1024 processors.
-	vecs := make([][]int32, len(units))
-	for i, u := range units {
+	// Apply in happens-before order. Nothing yields from the last reply to
+	// the end of the apply loop (the Charge after it may Flush), so the
+	// ordering scratch is borrowed from a pool for exactly that span. Each
+	// unit's interval vector is resolved once; merge then orders the k
+	// units of w writers over per-writer chain heads in O(k·w).
+	o := getMissOrder()
+	for i, w := range writers {
+		switch n.impl.Collect {
+		case core.Diffs:
+			o.addDiffs(w.proc, replies[i].Diffs)
+		case core.Timestamps:
+			o.addStamped(w.proc, &replies[i].Stamped)
+		}
+	}
+	clear(waiters)
+	clear(replies)
+	n.missWaiters, n.missReplies = waiters[:0], replies[:0]
+	for i := range o.units {
+		u := &o.units[i]
 		if rec := n.record(u.proc, u.ival); rec != nil {
-			vecs[i] = rec.vec
-		}
-	}
-	before := func(a, b int) bool { // did units[a] happen before units[b]?
-		if units[a].proc == units[b].proc {
-			return units[a].ival < units[b].ival
-		}
-		return vecs[b] != nil && vecs[b][units[a].proc] >= units[a].ival
-	}
-	indeg := make([]int, len(units))
-	for b := range units {
-		for a := range units {
-			if a != b && before(a, b) {
-				indeg[b]++
-			}
-		}
-	}
-	ordered := make([]applyUnit, 0, len(units))
-	done := make([]bool, len(units))
-	for len(ordered) < len(units) {
-		pick := -1
-		for i := range units {
-			if done[i] || indeg[i] != 0 {
-				continue
-			}
-			if pick < 0 || units[i].proc < units[pick].proc ||
-				(units[i].proc == units[pick].proc && units[i].ival < units[pick].ival) {
-				pick = i
-			}
-		}
-		if pick < 0 {
-			panic("lrc: cycle in interval happens-before order")
-		}
-		done[pick] = true
-		ordered = append(ordered, units[pick])
-		for b := range units {
-			if !done[b] && before(pick, b) {
-				indeg[b]--
-			}
+			u.vec = rec.vec
 		}
 	}
 	words := 0
-	for _, u := range ordered {
+	for _, i := range o.merge() {
+		u := &o.units[i]
 		w := wcollect.ApplyRuns(n.Im, u.dr)
 		if n.stamps != nil {
 			n.stamps.ApplyStamps(u.sr)
@@ -672,6 +612,7 @@ func (n *Node) accessMiss(pg int, write bool) {
 		n.Tr.Apply(n.P.Now(), n.P.ID(), trace.DomainPage, pg, u.proc, w)
 		words += w
 	}
+	o.release()
 	n.Tr.Work(n.P.Now(), n.P.ID(), trace.WorkTrapDiff, trace.ObjPage, pg, sim.Time(words)*n.CM.WordApply)
 	n.Charge(sim.Time(words) * n.CM.WordApply)
 
@@ -695,16 +636,6 @@ func (n *Node) accessMiss(pg int, write bool) {
 		n.MMU.SetProt(pg, vm.ReadWrite)
 		n.Charge(n.CM.MProtect)
 	}
-}
-
-// intervalBefore reports whether (p,i) happened before (q,j): q had seen p's
-// interval i closed by the time it closed its own interval j.
-func (n *Node) intervalBefore(p int, i int32, q int, j int32) bool {
-	if p == q {
-		return i < j
-	}
-	rec := n.record(q, j)
-	return rec != nil && rec.vec[p] >= i
 }
 
 // handleFetch serves a data request for one page. With diffs, the diff is

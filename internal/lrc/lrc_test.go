@@ -134,27 +134,28 @@ func TestIntervalWireSize(t *testing.T) {
 }
 
 func TestIntervalBefore(t *testing.T) {
-	newTestNode(t, diffImpl(), func(n *Node) {
-		// Fake a two-processor history on a one-node test rig.
-		n.vec = make([]int32, 2)
-		n.records = make([][]*interval, 2)
-		n.records[1] = []*interval{
-			{proc: 1, idx: 1, vec: []int32{0, 0}, pages: []int{0}},
-			{proc: 1, idx: 2, vec: []int32{5, 1}, pages: []int{0}},
-		}
-		if !n.intervalBefore(1, 1, 1, 2) {
-			t.Error("same-processor intervals are ordered by index")
-		}
-		if !n.intervalBefore(0, 5, 1, 2) {
-			t.Error("(0,5) precedes (1,2): rec(1,2).vec[0]=5 covers it")
-		}
-		if n.intervalBefore(0, 6, 1, 2) {
-			t.Error("(0,6) is not covered by rec(1,2)")
-		}
-		if n.intervalBefore(0, 1, 1, 99) {
-			t.Error("unknown record: incomparable")
-		}
-	})
+	// rec(1,2) closed having seen interval 5 of processor 0.
+	vec := []int32{5, 1}
+	if !happenedBefore(vec, 0, 5) {
+		t.Error("(0,5) precedes (1,2): rec(1,2).vec[0]=5 covers it")
+	}
+	if !happenedBefore(vec, 0, 4) {
+		t.Error("(0,4) precedes (1,2): covered intervals stay covered")
+	}
+	if happenedBefore(vec, 0, 6) {
+		t.Error("(0,6) is not covered by rec(1,2)")
+	}
+	if happenedBefore(nil, 0, 1) {
+		t.Error("unknown record: incomparable")
+	}
+	// Same-processor intervals are ordered by index: the merge keeps each
+	// writer's units as a chain sorted by interval.
+	o := &missOrder{}
+	o.writer(1)
+	o.units = append(o.units, applyUnit{proc: 1, ival: 2}, applyUnit{proc: 1, ival: 1})
+	if got := o.merge(); len(got) != 2 || o.units[got[0]].ival != 1 || o.units[got[1]].ival != 2 {
+		t.Errorf("chain order = %v over %+v", got, o.units)
+	}
 }
 
 func TestCollectNoticesHonoursPeerVector(t *testing.T) {
@@ -173,6 +174,26 @@ func TestCollectNoticesHonoursPeerVector(t *testing.T) {
 		recs, _ = n.collectNotices([]int32{2})
 		if len(recs) != 0 {
 			t.Errorf("up-to-date peer got %+v", recs)
+		}
+	})
+}
+
+func TestRecordLookupsAtTheTail(t *testing.T) {
+	newTestNode(t, diffImpl(), func(n *Node) {
+		n.records[0] = []*interval{{idx: 1}, {idx: 3}}
+		for idx, want := range map[int32]bool{0: false, 1: true, 2: false, 3: true, 4: false} {
+			if got := n.hasRecord(0, idx); got != want {
+				t.Errorf("hasRecord(0, %d) = %v, want %v", idx, got, want)
+			}
+		}
+		for bound, want := range map[int32]int{0: 2, 1: 1, 2: 1, 3: 0, 9: 0} {
+			if got := n.recordsAfter(0, bound); len(got) != want {
+				t.Errorf("recordsAfter(0, %d) = %d records, want %d", bound, len(got), want)
+			}
+		}
+		n.records[0] = nil
+		if n.hasRecord(0, 1) || len(n.recordsAfter(0, 0)) != 0 {
+			t.Error("a writer with no records has none to find")
 		}
 	})
 }

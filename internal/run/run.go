@@ -175,6 +175,8 @@ type Result struct {
 	// wire bytes (interval records on every node plus stored diffs at their
 	// writers). Zero for EC runs. With GC off this is what grows without
 	// bound; the memory-bound regression tests compare it against GC-on.
+	// It is not host memory: nodes share one in-memory copy of each interval
+	// record, but its wire size is summed over every node that holds it.
 	NoticeBytes int64
 }
 

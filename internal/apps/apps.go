@@ -4,7 +4,9 @@
 // is written once, in the dual programming style of Section 3.3: the LRC code
 // path is the program "as written for sequential consistency", and the EC
 // path adds the lock bindings, read-only locks, extra exclusive locks and
-// rebinding the model demands.
+// rebinding the model demands. That one source is a Program(d core.DSM)
+// method, entered through the same interface by every frontend: the LRC and
+// EC nodes and the runner's sequential reference.
 package apps
 
 import (
@@ -94,20 +96,6 @@ func Names() []string {
 func MicroNames() []string {
 	return []string{"micro-migratory", "micro-producer-consumer", "micro-false-sharing", "micro-prefetch", "micro-rebinding"}
 }
-
-// Every suite application is written as a generic kernel
-// (func kernel[D core.Accessor](app, d D)) and provides the
-// statically-dispatched run.StaticApp entries alongside the
-// Program(core.DSM) adapter; the runner picks the concrete instantiation.
-var (
-	_ run.StaticApp = (*SOR)(nil)
-	_ run.StaticApp = (*QS)(nil)
-	_ run.StaticApp = (*Water)(nil)
-	_ run.StaticApp = (*Barnes)(nil)
-	_ run.StaticApp = (*IS)(nil)
-	_ run.StaticApp = (*FFT)(nil)
-	_ run.StaticApp = (*Micro)(nil)
-)
 
 // lcg is a small deterministic pseudo-random generator (stdlib-only, and
 // identical across runs so results are bit-reproducible).

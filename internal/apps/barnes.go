@@ -6,8 +6,6 @@ import (
 	"sync"
 
 	"ecvslrc/internal/core"
-	"ecvslrc/internal/ec"
-	"ecvslrc/internal/lrc"
 	"ecvslrc/internal/mem"
 	"ecvslrc/internal/run"
 	"ecvslrc/internal/sim"
@@ -363,23 +361,8 @@ var barnesRefCache sync.Map // [2]int{m, steps} -> *barnesRef
 
 // --- the DSM program -------------------------------------------------------
 
-// Program implements run.App: the interface-adapter entry of barnesProgram —
-// the same generic kernel the statically-dispatched entries run.
-func (a *Barnes) Program(d core.DSM) { barnesProgram(a, d) }
-
-// ProgramLRC implements run.StaticApp: barnesProgram at *lrc.Node.
-func (a *Barnes) ProgramLRC(n *lrc.Node) { barnesProgram(a, n) }
-
-// ProgramEC implements run.StaticApp: barnesProgram at *ec.Node.
-func (a *Barnes) ProgramEC(n *ec.Node) { barnesProgram(a, n) }
-
-// ProgramSeq implements run.StaticApp: barnesProgram at *run.Local.
-func (a *Barnes) ProgramSeq(l *run.Local) { barnesProgram(a, l) }
-
-// barnesProgram is the per-processor program as a generic kernel: one
-// source, statically instantiated per protocol stack (the tree-walking
-// helpers below are generic over the same frontend).
-func barnesProgram[D core.Accessor](a *Barnes, d D) {
+// Program implements run.App.
+func (a *Barnes) Program(d core.DSM) {
 	ec := d.Model() == core.EC
 	np := d.NProcs()
 	me := d.Proc()
@@ -437,7 +420,7 @@ func barnesProgram[D core.Accessor](a *Barnes, d D) {
 		// positions. Under EC this takes read locks on every body's
 		// position set and exclusive locks on the cells being written.
 		if me == 0 {
-			barnesBuildShared(a, d, rlock)
+			a.buildShared(d, rlock)
 			releaseAll()
 		}
 		d.Barrier(0)
@@ -447,7 +430,7 @@ func barnesProgram[D core.Accessor](a *Barnes, d D) {
 		// the assignment itself is the static band (a documented
 		// simplification — cost zones change ownership rarely for uniform
 		// distributions).
-		barnesTraverse(a, d, 0, rlock)
+		a.traverse(d, 0, rlock)
 		releaseAll()
 		d.Barrier(1)
 
@@ -455,7 +438,7 @@ func barnesProgram[D core.Accessor](a *Barnes, d D) {
 		for i := lo; i < hi; i++ {
 			var f [3]float64
 			ints := 0
-			barnesForce(a, d, i, 0, &f, &ints, rlock)
+			a.force(d, i, 0, &f, &ints, rlock)
 			d.Compute(sim.Time(ints) * barnesPerInteract)
 			if ec {
 				d.Acquire(a.bodyBLock(i))
@@ -542,7 +525,7 @@ func barnesProgram[D core.Accessor](a *Barnes, d D) {
 // buildShared rebuilds the shared tree (processor 0 only). Cell locks are
 // acquired exclusively per touched cell; they stay owned by processor 0
 // across steps, so reacquisition is free after the first step.
-func barnesBuildShared[D core.Accessor](a *Barnes, d D, rlock func(core.LockID)) {
+func (a *Barnes) buildShared(d core.DSM, rlock func(core.LockID)) {
 	ec := d.Model() == core.EC
 	next := 1
 	var heldCells []core.LockID
@@ -654,20 +637,20 @@ func barnesBuildShared[D core.Accessor](a *Barnes, d D, rlock func(core.LockID))
 
 // traverse walks the whole tree, read-locking cells (the load-balancing
 // phase's tree examination).
-func barnesTraverse[D core.Accessor](a *Barnes, d D, cell int, rlock func(core.LockID)) {
+func (a *Barnes) traverse(d core.DSM, cell int, rlock func(core.LockID)) {
 	rlock(a.cellLock(cell))
 	d.Compute(barnesPerVisit)
 	for k := 0; k < 8; k++ {
 		kid := int(d.ReadI32(a.cKid(cell, k)))
 		if kid > 0 {
-			barnesTraverse(a, d, kid, rlock)
+			a.traverse(d, kid, rlock)
 		}
 	}
 }
 
 // force accumulates the force on body i by tree traversal, mirroring the
 // reference implementation but reading through the DSM with EC read locks.
-func barnesForce[D core.Accessor](a *Barnes, d D, i, cell int, f *[3]float64, ints *int, rlock func(core.LockID)) {
+func (a *Barnes) force(d core.DSM, i, cell int, f *[3]float64, ints *int, rlock func(core.LockID)) {
 	rlock(a.cellLock(cell))
 	pi := [3]float64{d.ReadF64(a.posAddr(i, 0)), d.ReadF64(a.posAddr(i, 1)), d.ReadF64(a.posAddr(i, 2))}
 	for k := 0; k < 8; k++ {
@@ -701,7 +684,7 @@ func barnesForce[D core.Accessor](a *Barnes, d D, i, cell int, f *[3]float64, in
 				}
 				*ints++
 			} else {
-				barnesForce(a, d, i, kid, f, ints, rlock)
+				a.force(d, i, kid, f, ints, rlock)
 			}
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"ecvslrc/internal/core"
-	"ecvslrc/internal/ec"
-	"ecvslrc/internal/lrc"
 	"ecvslrc/internal/mem"
 	"ecvslrc/internal/run"
 	"ecvslrc/internal/sim"
@@ -98,37 +96,23 @@ func (m *Micro) Init(im *mem.Image) {}
 // InitRef implements run.RefInit (Init is stateless).
 func (m *Micro) InitRef() {}
 
-// Program implements run.App: the interface-adapter entry of microProgram —
-// the same generic kernel the statically-dispatched entries run.
-func (m *Micro) Program(d core.DSM) { microProgram(m, d) }
-
-// ProgramLRC implements run.StaticApp: microProgram at *lrc.Node.
-func (m *Micro) ProgramLRC(n *lrc.Node) { microProgram(m, n) }
-
-// ProgramEC implements run.StaticApp: microProgram at *ec.Node.
-func (m *Micro) ProgramEC(n *ec.Node) { microProgram(m, n) }
-
-// ProgramSeq implements run.StaticApp: microProgram at *run.Local.
-func (m *Micro) ProgramSeq(l *run.Local) { microProgram(m, l) }
-
-// microProgram dispatches to the selected factor kernel; each kernel is
-// generic over the access frontend and instantiated per protocol stack.
-func microProgram[D core.Accessor](m *Micro, d D) {
+// Program implements run.App.
+func (m *Micro) Program(d core.DSM) {
 	switch m.kind {
 	case microMigratory:
-		migratory(m, d)
+		m.migratory(d)
 	case microProducerConsumer:
-		producerConsumer(m, d)
+		m.producerConsumer(d)
 	case microFalseSharing:
-		falseSharing(m, d)
+		m.falseSharing(d)
 	case microPrefetch:
-		prefetch(m, d)
+		m.prefetch(d)
 	case microRebinding:
-		rebinding(m, d)
+		m.rebinding(d)
 	}
 }
 
-func migratory[D core.Accessor](m *Micro, d D) {
+func (m *Micro) migratory(d core.DSM) {
 	m.nprocs = d.NProcs()
 	const words = 256 // 1 KB record, below a page
 	d.Bind(1, mem.Range{Base: m.base, Len: words * 4})
@@ -152,7 +136,7 @@ func migratory[D core.Accessor](m *Micro, d D) {
 	}
 }
 
-func producerConsumer[D core.Accessor](m *Micro, d D) {
+func (m *Micro) producerConsumer(d core.DSM) {
 	ec := d.Model() == core.EC
 	m.nprocs = d.NProcs()
 	n := 4 * mem.PageSize / 4
@@ -193,7 +177,7 @@ func producerConsumer[D core.Accessor](m *Micro, d D) {
 	}
 }
 
-func falseSharing[D core.Accessor](m *Micro, d D) {
+func (m *Micro) falseSharing(d core.DSM) {
 	ec := d.Model() == core.EC
 	m.nprocs = d.NProcs()
 	np := d.NProcs()
@@ -231,7 +215,7 @@ func falseSharing[D core.Accessor](m *Micro, d D) {
 	d.StatsEnd()
 }
 
-func prefetch[D core.Accessor](m *Micro, d D) {
+func (m *Micro) prefetch(d core.DSM) {
 	ec := d.Model() == core.EC
 	m.nprocs = d.NProcs()
 	const objs = 32 // 128-byte objects, all on one page
@@ -277,7 +261,7 @@ func prefetch[D core.Accessor](m *Micro, d D) {
 	d.StatsEnd()
 }
 
-func rebinding[D core.Accessor](m *Micro, d D) {
+func (m *Micro) rebinding(d core.DSM) {
 	ec := d.Model() == core.EC
 	m.nprocs = d.NProcs()
 	const taskBytes = 2048

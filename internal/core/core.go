@@ -197,18 +197,10 @@ type DSM interface {
 	StatsEnd()
 }
 
-// Accessor is the type-parameter constraint for statically-dispatched
-// application kernels: write the program once as
-//
-//	func kernel[D core.Accessor](d D, ...)
-//
-// and instantiate it per protocol stack (*lrc.Node, *ec.Node, run.Local's
-// sequential frontend). Each instantiation binds the accessor calls to one
-// concrete frontend, so the per-word hot path (ReadI32..WriteF64, Compute,
-// Now) avoids the itab-based interface dispatch a core.DSM value pays on
-// every shared access. The method set is exactly DSM: the interface remains
-// the stable adapter surface (CLIs, tests, custom tooling), and any kernel
-// also instantiates with D = core.DSM itself — that is the adapter path.
+// Accessor is the method set of DSM as a type-parameter constraint. It is
+// kept only because perfbench's access probe (accessLoop) instantiates a
+// generic loop against it; program code takes DSM directly (see run.App's
+// Program for why).
 type Accessor interface {
 	DSM
 }

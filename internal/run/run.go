@@ -34,31 +34,16 @@ type App interface {
 	// its final barrier; processor 0 must then gather the results through
 	// the DSM (read locks under EC, page faults under LRC) so Verify can
 	// inspect its image.
+	//
+	// Kernels take core.DSM itself, not a type parameter: Go shares one
+	// instantiation between all pointer frontends, so a generic kernel pays
+	// a dictionary lookup plus the itab dispatch on every accessor call.
+	// Running the suite's kernels that way cost a median 8% (2-13% per
+	// interleaved run) more bench table-sweep CPU than plain interface
+	// calls on a 2-vCPU Xeon with go1.24.
 	Program(d core.DSM)
 	// Verify checks processor 0's final image.
 	Verify(im *mem.Image) error
-}
-
-// StaticApp is implemented by applications whose Program body is a generic
-// kernel `func kernel[D core.Accessor](d D, ...)` instantiated once per
-// protocol stack. The runner then enters the kernel through the concrete
-// frontend (*lrc.Node, *ec.Node, *Local), so every shared-memory accessor
-// call dispatches statically instead of through the core.DSM interface —
-// the per-word cost the ROADMAP names as the largest remaining one. The
-// plain Program(core.DSM) method remains the adapter path: same kernel,
-// instantiated with the interface, used by custom DSM values and by the
-// equivalence tests (Options.InterfaceDispatch).
-//
-// All four entry points must run the same kernel; the runner chooses freely
-// between them and the simulated statistics must not depend on the choice.
-type StaticApp interface {
-	App
-	// ProgramLRC is Program entered through the concrete LRC frontend.
-	ProgramLRC(n *lrc.Node)
-	// ProgramEC is Program entered through the concrete EC frontend.
-	ProgramEC(n *ec.Node)
-	// ProgramSeq is Program entered through the sequential frontend.
-	ProgramSeq(l *Local)
 }
 
 // RefInit is implemented by applications whose Init separates into image
@@ -89,12 +74,6 @@ type Options struct {
 	// out again: the app still binds its instance addresses, but the region
 	// tables are shared read-only across cells.
 	Layout *mem.Allocator
-	// InterfaceDispatch forces the run through the Program(core.DSM) adapter
-	// path even when the application provides statically-dispatched kernels
-	// (StaticApp). The statistics are identical either way — the equivalence
-	// tests pin that — so this exists for those tests and for debugging
-	// dispatch-layer suspicions, not for production runs.
-	InterfaceDispatch bool
 	// Trace, when non-nil, records the run's event trace: scheduler resumes,
 	// message traffic, faults, misses, twins, collections and synchronization
 	// events flow into it for post-run attribution (internal/trace). Tracing
@@ -224,13 +203,6 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 		s.SetProbe(opts.Trace)
 		net.SetTracer(opts.Trace)
 	}
-	// Statically-dispatched entry when the app provides generic kernels: the
-	// per-processor body then calls the concrete frontend's kernel
-	// instantiation instead of crossing the core.DSM interface per access.
-	sa, _ := app.(StaticApp)
-	if opts.InterfaceDispatch {
-		sa = nil
-	}
 	nodes := make([]node, nprocs)
 	images := make([]*mem.Image, nprocs)
 	starts := make([]func(), nprocs)
@@ -254,11 +226,6 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 			}
 			n.Im.CopyFrom(initIm)
 			nodes[i], images[i] = n, n.Im
-			if sa != nil {
-				starts[i] = func() { n.StatsBegin(); sa.ProgramEC(n) }
-			} else {
-				starts[i] = func() { n.StatsBegin(); app.Program(n) }
-			}
 		case core.LRC:
 			n := lrc.NewWithImage(p, net, al, nprocs, impl, im)
 			if opts.Trace != nil {
@@ -267,14 +234,11 @@ func RunWith(app App, impl core.Impl, nprocs int, cm fabric.CostModel, opts Opti
 			n.Im.CopyFrom(initIm)
 			nodes[i], images[i] = n, n.Im
 			lrcNodes = append(lrcNodes, n)
-			if sa != nil {
-				starts[i] = func() { n.StatsBegin(); sa.ProgramLRC(n) }
-			} else {
-				starts[i] = func() { n.StatsBegin(); app.Program(n) }
-			}
 		}
+		n := nodes[i]
+		starts[i] = func() { n.StatsBegin(); app.Program(n) }
 		if opts.BarrierFanIn >= 2 {
-			nodes[i].(interface{ SetBarrierFanIn(int) }).SetBarrierFanIn(opts.BarrierFanIn)
+			n.(interface{ SetBarrierFanIn(int) }).SetBarrierFanIn(opts.BarrierFanIn)
 		}
 	}
 	var gc *lrc.GC
@@ -413,12 +377,8 @@ func RunSeqWith(app App, opts Options) (sim.Time, error) {
 	} else {
 		im = initIm
 	}
-	d := &Local{im: im}
-	if sa, ok := app.(StaticApp); ok && !opts.InterfaceDispatch {
-		sa.ProgramSeq(d)
-	} else {
-		app.Program(d)
-	}
+	d := &local{im: im}
+	app.Program(d)
 	if !d.ended {
 		return 0, fmt.Errorf("run: %s sequential program never called StatsEnd", app.Name())
 	}

@@ -1,7 +1,10 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
@@ -26,15 +29,24 @@ func (st procState) String() string {
 	return "?"
 }
 
-// Proc is a simulated processor: a goroutine that runs application and
-// protocol code against the virtual clock. Exactly one Proc (or the
-// scheduler) executes at any instant; control moves by explicit handoff.
+// Proc is a simulated processor: a coroutine that runs application and
+// protocol code against the virtual clock. Exactly one Proc (or Run's
+// dispatch loop) executes at any instant; control moves by explicit
+// coroutine switches.
 type Proc struct {
-	sim    *Simulator
-	id     int
-	name   string
-	resume chan struct{}
-	state  procState
+	sim   *Simulator
+	id    int
+	name  string
+	state procState
+
+	// next resumes the coroutine (starting it on first use). It returns the
+	// process the dispatch loop must resume next once this one blocks (nil:
+	// the run is over), or ok=false when the body has returned. yield is the
+	// blocking side of next; it reports false after stop, which releases a
+	// suspended or never-started coroutine when the run ends.
+	next  func() (*Proc, bool)
+	yield func(*Proc) bool
+	stop  func()
 
 	// busyUntil is the horizon before which this process may not resume:
 	// message handlers that ran on its behalf while it was blocked have
@@ -43,15 +55,14 @@ type Proc struct {
 
 	waitReason string
 	parked     bool
-	killed     bool // set by Simulator.killBlocked: unwind instead of resuming
 	finishedAt Time
-	wakeGen    uint64  // invalidates stale sleep-wake events
-	callWaiter *Waiter // reused rendezvous for synchronous calls
+	wakeGen    uint64 // invalidates stale sleep-wake events
+	callWaiter Waiter // reused rendezvous for synchronous calls
 }
 
-// killSignal is the sentinel panic value used to unwind a blocked process
-// goroutine after Simulator.Stop; it is recovered in top and not treated as
-// a failure.
+// killSignal is the sentinel panic value that unwinds a process whose
+// coroutine is stopped at the end of a run; runBody recovers it and does not
+// treat it as a failure.
 type killSignal struct{}
 
 // ID returns the process's spawn index, used as the processor identifier.
@@ -69,30 +80,26 @@ func (p *Proc) Now() Time { return p.sim.now }
 // FinishedAt reports when the process body returned (valid after Run).
 func (p *Proc) FinishedAt() Time { return p.finishedAt }
 
-// top is the goroutine body wrapping the user function.
-func (p *Proc) top(body func(*Proc)) {
-	<-p.resume // wait for the first baton delivery
-	if !p.killed {
+// Spawn creates a process that will execute body when Run starts. The process
+// begins at time 0 (or at the current time if spawned mid-run), and processes
+// spawned earlier get control first on ties. Its coroutine first runs when the
+// dispatch loop resumes it.
+func (s *Simulator) Spawn(name string, body func(*Proc)) *Proc {
+	p := &Proc{sim: s, id: len(s.procs), name: name, state: stateBlocked}
+	p.callWaiter.p = p
+	p.next, p.stop = iter.Pull(func(yield func(*Proc) bool) {
+		p.yield = yield
 		p.runBody(body)
-	}
-	p.state = stateDone
-	p.finishedAt = p.sim.now
-	if p.killed {
-		p.sim.yield <- struct{}{} // acknowledge to killBlocked and exit
-		return
-	}
-	// The body returned with the baton held: keep driving the event loop,
-	// then pass the baton on (this goroutine is done and never resumes).
-	s := p.sim
-	if next := s.step(); next != nil {
-		next.resume <- struct{}{}
-		return
-	}
-	s.done <- struct{}{}
+		p.state = stateDone
+		p.finishedAt = s.now
+	})
+	s.procs = append(s.procs, p)
+	s.schedule(event{at: s.now, kind: kindRunProc, p: p})
+	return p
 }
 
 // runBody executes the user function, capturing panics as the simulation's
-// failure. A killSignal unwind (Stop teardown) is not a failure.
+// failure. A killSignal unwind (end-of-run teardown) is not a failure.
 func (p *Proc) runBody(body func(*Proc)) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -105,10 +112,10 @@ func (p *Proc) runBody(body func(*Proc)) {
 }
 
 // block parks the process until it is resumed. The caller must have arranged
-// a wake-up (an event or a Waiter delivery). The blocking goroutine keeps
-// the baton and drives the event loop itself: when its own wake-up is the
-// next thing to run it simply continues — no channel operation, no context
-// switch — and otherwise it hands the baton straight to the next process.
+// a wake-up (an event or a Waiter delivery). The blocking process drives the
+// event loop itself: when its own wake-up is the next thing to run it simply
+// continues, with no coroutine switch; otherwise it yields the process to
+// resume to Run's dispatch loop and is suspended until the loop resumes it.
 func (p *Proc) block(reason string) {
 	if p.state != stateRunning {
 		panic(fmt.Sprintf("sim: block on non-running proc %s", p.name))
@@ -119,21 +126,10 @@ func (p *Proc) block(reason string) {
 	if s.probe != nil {
 		s.probe.ProcBlocked(s.now, p.id, reason)
 	}
-	switch next := s.step(); {
-	case next == p:
-		// Direct self-resume.
-	case next != nil:
-		next.resume <- struct{}{}
-		<-p.resume
-	default:
-		// The run is over (drain, failure or stop) while we are blocked:
-		// give the baton back to Run and park. We are woken again only by
-		// killBlocked after a Stop.
-		s.done <- struct{}{}
-		<-p.resume
-	}
-	if p.killed {
-		panic(killSignal{})
+	if next := s.step(); next != p {
+		if !p.yield(next) {
+			panic(killSignal{})
+		}
 	}
 	p.waitReason = ""
 }
@@ -204,12 +200,7 @@ func NewWaiter(p *Proc) *Waiter { return &Waiter{p: p} }
 // exchanges: the caller must Wait before issuing another synchronous call,
 // which a blocked process trivially guarantees. Concurrent outstanding
 // requests (parallel fetches) must use NewWaiter instead.
-func (p *Proc) CallWaiter() *Waiter {
-	if p.callWaiter == nil {
-		p.callWaiter = NewWaiter(p)
-	}
-	return p.callWaiter
-}
+func (p *Proc) CallWaiter() *Waiter { return &p.callWaiter }
 
 // Wait blocks the owner until Deliver has been called, then returns the
 // delivered value and resets the Waiter for reuse.

@@ -33,7 +33,7 @@ const (
 )
 
 // Probe observes scheduler activity for the tracing subsystem. All methods
-// run with the baton held and must not mutate simulation state: a probed run
+// run inside the event loop and must not mutate simulation state: a probed run
 // must stay bit-identical to an unprobed one. ProcBlocked fires when a
 // process gives up the CPU (with the wait reason it parks under); ProcResumed
 // fires once per actual process resume (the wake half of the block/wake
@@ -67,17 +67,17 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// Simulator owns the virtual clock and the event queue, and coordinates the
-// coroutine handoff with processes. All simulation state (processes, protocol
-// structures, memory images) is mutated by exactly one goroutine at a time:
-// the holder of the scheduling baton. The baton starts with Run's goroutine
-// and travels with control: a process that blocks keeps the baton and drives
-// the event loop itself until some process must resume — itself (no channel
-// operations at all, the common case for an undisturbed Sleep) or another
-// process (one direct channel handoff). Run's goroutine sleeps until the
-// event queue drains. Compared to a dedicated scheduler goroutine this
-// halves (often eliminates) the context switches per simulated block/resume,
-// without changing the event order. No locking is needed anywhere in the
+// Simulator owns the virtual clock and the event queue, and resumes
+// processes from one dispatch loop in Run. Each process is an iter.Pull
+// coroutine: Run's loop drains events until some process must resume, then
+// switches to it through its next function. A process that blocks drives the
+// event loop itself until some process must resume: itself (no switch at
+// all, the common case for an undisturbed Sleep) or another process, which
+// it yields to the loop to resume. Coroutine switches never pass through the
+// Go scheduler, and the event order is the same as draining the queue from a
+// single loop. All simulation state (processes, protocol structures, memory
+// images) is mutated by whichever of Run's loop and the processes is
+// running, exactly one at a time, so no locking is needed anywhere in the
 // simulation.
 type Simulator struct {
 	now Time
@@ -99,13 +99,12 @@ type Simulator struct {
 
 	// batch is the per-instant run queue: when dispatching an event resumes a
 	// process, every immediately following event at the same instant that is
-	// itself a process wake-up is popped ahead of time into this FIFO. The
-	// baton then travels straight down the batch — each blocking process takes
-	// the next entry without re-entering the queues — so all scheduler work
-	// for the instant happens on the carrier that first reached it. Entries
-	// are raw events, validated (wake generation, busyUntil, parked state)
-	// only when their turn comes, which keeps the dispatch order and every
-	// reschedule's sequence number identical to unbatched execution.
+	// itself a process wake-up is popped ahead of time into this FIFO. Each
+	// process that blocks then takes the next entry without re-entering the
+	// queues. Entries are raw events, validated (wake generation, busyUntil,
+	// parked state) only when their turn comes, which keeps the dispatch
+	// order and every reschedule's sequence number identical to unbatched
+	// execution.
 	batch     []event
 	batchHead int
 
@@ -114,9 +113,7 @@ type Simulator struct {
 	probe Probe
 
 	procs   []*Proc
-	done    chan struct{} // baton holder -> Run: the event queue drained
-	yield   chan struct{} // killed process -> killBlocked: unwound, baton back
-	failure error         // first panic captured from a process
+	failure error // first panic captured from a process
 	stopped bool
 
 	// watchdog, when > 0, is the virtual-time horizon past which the run is
@@ -128,9 +125,7 @@ type Simulator struct {
 }
 
 // New returns an empty simulator at time zero.
-func New() *Simulator {
-	return &Simulator{done: make(chan struct{}), yield: make(chan struct{})}
-}
+func New() *Simulator { return &Simulator{} }
 
 // Now returns the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
@@ -179,8 +174,8 @@ func (s *Simulator) schedule(e event) {
 	s.heapPush(e)
 }
 
-// dispatch runs one event with the baton held, returning the process that
-// must now resume (marked running), or nil to keep looping.
+// dispatch runs one event, returning the process that must now resume
+// (marked running), or nil to keep looping.
 func (s *Simulator) dispatch(ev *event) *Proc {
 	if s.probe != nil {
 		pid := -1
@@ -216,12 +211,12 @@ func (s *Simulator) dispatch(ev *event) *Proc {
 }
 
 // step drains events until some process must resume (returned marked
-// running) or the run is over (nil). Called by the baton holder. The
-// per-instant batch is drained first: its entries were popped ahead of the
-// queues and must fire before anything scheduled since. A panic in an event
-// callback is recorded as the run's failure and ends the run: the baton may
-// be held by any process goroutine, where an escaping panic would kill the
-// whole program (or be misattributed to the parked process).
+// running) or the run is over (nil). Called by Run's loop and by blocking
+// processes. The per-instant batch is drained first: its entries were popped
+// ahead of the queues and must fire before anything scheduled since. A panic
+// in an event callback is recorded as the run's failure and ends the run:
+// the loop may be driven by any process coroutine, where an escaping panic
+// would be misattributed to the blocking process.
 func (s *Simulator) step() (next *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -276,7 +271,7 @@ func (s *Simulator) peek() *event {
 
 // batchWakes extends the per-instant batch: consecutive pending wake-up
 // events at the current instant are popped into the batch so the processes
-// they resume are handed the baton one after another without queue re-entry.
+// they resume are run one after another without queue re-entry.
 // The look-ahead stops at the first callback or timer event (those may mutate
 // state the later wake-ups' validation depends on only in the same ways a
 // process run can, but keeping them in the queues keeps the batch a pure run
@@ -369,25 +364,8 @@ func (s *Simulator) pop() event {
 	return s.heapPop()
 }
 
-// Spawn creates a process that will execute body when Run starts. The process
-// begins at time 0 (or at the current time if spawned mid-run), and processes
-// spawned earlier get control first on ties.
-func (s *Simulator) Spawn(name string, body func(*Proc)) *Proc {
-	p := &Proc{
-		sim:    s,
-		id:     len(s.procs),
-		name:   name,
-		resume: make(chan struct{}),
-		state:  stateBlocked,
-	}
-	s.procs = append(s.procs, p)
-	go p.top(body)
-	s.schedule(event{at: s.now, kind: kindRunProc, p: p})
-	return p
-}
-
-// wake prepares p to resume, or returns nil if it must not run yet. Must be
-// called with the baton held.
+// wake prepares p to resume, or returns nil if it must not run yet. Called
+// only from the event loop.
 func (s *Simulator) wake(p *Proc) *Proc {
 	if p.state == stateDone {
 		return nil
@@ -440,24 +418,28 @@ func (st *Stalled) Error() string {
 // panics. It returns nil when every spawned process has finished, a *Deadlock
 // if some are still blocked, or the captured panic as an error.
 func (s *Simulator) Run() error {
-	if p := s.step(); p != nil {
-		// Hand the baton into the process web; it returns on s.done when the
-		// queue drains (every handoff in between is proc-to-proc).
-		p.resume <- struct{}{}
-		<-s.done
+	// The dispatch loop: resume each process the event loop selects. A
+	// process that blocks returns the next one itself; one whose body
+	// returned leaves the loop to pick it.
+	for p := s.step(); p != nil; {
+		q, ok := p.next()
+		if !ok {
+			q = s.step()
+		}
+		p = q
 	}
 	// Gather the blocked set for the deadlock report before the teardown
-	// below releases those goroutines.
+	// below releases those processes.
 	var blocked []string
 	for _, p := range s.procs {
 		if p.state != stateDone {
 			blocked = append(blocked, fmt.Sprintf("%s(%s)", p.name, p.waitReason))
 		}
 	}
-	// The run is over in every branch from here: release parked process
-	// goroutines so stopped, deadlocked and failed runs do not leak them
-	// (goroutines blocked on channels are never garbage collected). A stop or
-	// failure may abandon prefetched batch entries; drop them with the run.
+	// The run is over in every branch from here: release suspended process
+	// coroutines so stopped, deadlocked and failed runs do not leak their
+	// goroutines. A stop or failure may abandon prefetched batch entries;
+	// drop them with the run.
 	s.batch, s.batchHead = nil, 0
 	s.killBlocked()
 	if s.failure != nil {
@@ -472,24 +454,22 @@ func (s *Simulator) Run() error {
 	return nil
 }
 
-// Stop aborts the run at the end of the current event. Goroutines blocked on
-// their resume channel are not garbage-collectable, so Run terminates them
-// explicitly (via killBlocked) before returning. Intended for tests.
+// Stop aborts the run at the end of the current event. Run releases every
+// unfinished process (via killBlocked) before returning. Intended for tests.
 func (s *Simulator) Stop() { s.stopped = true }
 
-// killBlocked terminates every process goroutine still parked when a run
-// ends (stop, deadlock or failure): each one is resumed with the killed flag
-// set, unwinds via a sentinel panic recovered in Proc.top, and exits.
-// Without this, repeated terminated runs accumulate goroutines forever.
+// killBlocked releases every process coroutine left unfinished when a run
+// ends (stop, deadlock or failure). Stopping a suspended process makes its
+// pending yield report false, so block unwinds it with the killSignal that
+// runBody recovers; a process that never started is released without
+// running its body. Without this, repeated terminated runs accumulate
+// goroutines forever.
 func (s *Simulator) killBlocked() {
 	for _, p := range s.procs {
-		if p.state == stateDone {
-			continue
+		if p.state != stateDone {
+			p.stop()
+			p.state, p.finishedAt = stateDone, s.now
 		}
-		p.killed = true
-		p.state = stateRunning
-		p.resume <- struct{}{}
-		<-s.yield
 	}
 }
 

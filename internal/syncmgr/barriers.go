@@ -50,6 +50,26 @@ type barrierState struct {
 	reqs       []fabric.Msg // remote arrival requests awaiting departure
 	local      *sim.Waiter  // manager's own arrival, if waiting
 	ownArrived bool         // tree mode: this node's program reached the barrier
+
+	// spare is the backing array of the previous episode's requests, reused
+	// as the next episode's reqs. The array a departure loop iterates is
+	// never reqs: next-episode arrivals can land while that loop sleeps.
+	spare []fabric.Msg
+}
+
+// claimReqs takes the episode's buffered requests for a departure loop and
+// starts the next episode's reqs on the spare array.
+func (st *barrierState) claimReqs() []fabric.Msg {
+	reqs := st.reqs
+	st.reqs, st.spare = st.spare[:0], nil
+	return reqs
+}
+
+// releaseReqs returns a finished departure loop's array as the spare,
+// cleared so it pins no payloads.
+func (st *barrierState) releaseReqs(reqs []fabric.Msg) {
+	clear(reqs)
+	st.spare = reqs[:0]
 }
 
 // BarrierMgr implements centralized barriers for one processor (Section 6:
@@ -179,8 +199,8 @@ func (m *BarrierMgr) waitTree(b core.BarrierID) {
 	// The whole subtree is in. Claim the buffered child requests and reset
 	// the state before blocking upward, so next-episode arrivals (which can
 	// reach us only after our departures below) start from a clean slate.
-	reqs := st.reqs
-	st.reqs, st.arrived, st.ownArrived = nil, 0, false
+	reqs := st.claimReqs()
+	st.arrived, st.ownArrived = 0, false
 
 	if !root {
 		up, usize, uwork := payload, size, sim.Time(0)
@@ -207,6 +227,7 @@ func (m *BarrierMgr) waitTree(b core.BarrierID) {
 		m.p.Sleep(dwork)
 		m.net.ReplyFrom(m.p, req, KindBarrierDepart, dsize, dp)
 	}
+	st.releaseReqs(reqs)
 }
 
 // Wait blocks until all processors have arrived at barrier b.
@@ -287,9 +308,8 @@ func (m *BarrierMgr) Handle(hc *fabric.HandlerCtx, msg fabric.Msg) bool {
 // either from the manager's process context (manager arrived last, hc nil)
 // or from handler context (a remote arrival completed the set).
 func (m *BarrierMgr) depart(b core.BarrierID, st *barrierState, hc *fabric.HandlerCtx) {
-	reqs := st.reqs
+	reqs := st.claimReqs()
 	local := st.local
-	st.reqs = nil
 	st.local = nil
 	st.arrived = 0
 
@@ -315,6 +335,7 @@ func (m *BarrierMgr) depart(b core.BarrierID, st *barrierState, hc *fabric.Handl
 			m.net.ReplyFrom(m.p, req, KindBarrierDepart, size, payload)
 		}
 	}
+	st.releaseReqs(reqs)
 	if local != nil {
 		if hc == nil {
 			panic("syncmgr: manager waiting on its own last arrival")

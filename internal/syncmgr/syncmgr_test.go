@@ -42,6 +42,13 @@ type cluster struct {
 // newCluster spawns n processors each running body(proc index).
 func newCluster(t *testing.T, n int, body func(c *cluster, i int)) *cluster {
 	t.Helper()
+	return newClusterHooks(t, n, func(int) BarrierHooks { return nilHooks{} }, body)
+}
+
+// newClusterHooks is newCluster with processor i's barrier traffic supplied
+// by hooks(i).
+func newClusterHooks(t *testing.T, n int, hooks func(i int) BarrierHooks, body func(c *cluster, i int)) *cluster {
+	t.Helper()
 	c := &cluster{s: sim.New()}
 	c.net = fabric.New(c.s, fabric.DefaultCostModel(), n)
 	c.locks = make([]*LockMgr, n)
@@ -52,7 +59,7 @@ func newCluster(t *testing.T, n int, body func(c *cluster, i int)) *cluster {
 		p := c.s.Spawn("proc", func(p *sim.Proc) { body(c, i) })
 		c.cnts[i] = &Counters{}
 		c.locks[i] = NewLockMgr(p, c.net, n, nilHooks{}, c.cnts[i])
-		c.bars[i] = NewBarrierMgr(p, c.net, n, nilHooks{}, c.cnts[i])
+		c.bars[i] = NewBarrierMgr(p, c.net, n, hooks(i), c.cnts[i])
 		lm, bm := c.locks[i], c.bars[i]
 		c.net.Attach(p, func(hc *fabric.HandlerCtx, m fabric.Msg) {
 			if lm.Handle(hc, m) || bm.Handle(hc, m) {
@@ -241,6 +248,76 @@ func TestBarrierReusable(t *testing.T) {
 	for i := range counts {
 		if counts[i] != rounds {
 			t.Errorf("proc %d did %d rounds", i, counts[i])
+		}
+	}
+}
+
+// slowDepartHooks charges work for every departure it builds, so a node's
+// departure loop outlasts a round trip, and counts arrivals that reach the
+// node from a processor that has already left an episode this node is still
+// lowering.
+type slowDepartHooks struct {
+	nilHooks
+	self     int
+	done     []int // barrier episodes each processor has completed
+	overlaps *int
+}
+
+func (h slowDepartHooks) AbsorbArrival(_ core.BarrierID, from int, _ fabric.Payload) sim.Time {
+	if h.done[from] > h.done[h.self] {
+		*h.overlaps++
+	}
+	return 0
+}
+
+func (slowDepartHooks) MakeDeparture(core.BarrierID, int) (fabric.Payload, int, sim.Time) {
+	return fabric.Payload{}, 0, 2 * sim.Millisecond
+}
+
+// TestBarrierBackToBackEpisodes runs consecutive episodes of one barrier
+// where next-episode arrivals reach a node while it is still sleeping in its
+// departure loop. Those arrivals must be buffered apart from the requests the
+// loop is answering (the request array is reused across episodes), so every
+// processor gets exactly one departure per episode, and none before the
+// episode's last arrival.
+func TestBarrierBackToBackEpisodes(t *testing.T) {
+	for _, fanin := range []int{0, 2} {
+		const n, rounds = 7, 6
+		done := make([]int, n)
+		arrived := make([]int, rounds)
+		overlaps := 0
+		hooks := func(i int) BarrierHooks {
+			return slowDepartHooks{self: i, done: done, overlaps: &overlaps}
+		}
+		c := newClusterHooks(t, n, hooks, func(c *cluster, i int) {
+			if i == 0 {
+				// The manager arrives last, so it lowers the first episode
+				// from its own program, in the departure loop.
+				c.bars[i].p.Sleep(5 * sim.Millisecond)
+			}
+			for r := 0; r < rounds; r++ {
+				arrived[r]++
+				c.bars[i].Wait(0) // manager is 0%n = p0
+				if arrived[r] != n {
+					t.Errorf("fanin %d: proc %d left episode %d after %d of %d arrivals",
+						fanin, i, r, arrived[r], n)
+				}
+				done[i]++
+			}
+		})
+		for _, bm := range c.bars {
+			bm.SetFanIn(fanin)
+		}
+		if err := c.s.Run(); err != nil {
+			t.Fatalf("fanin %d: %v", fanin, err)
+		}
+		for i, d := range done {
+			if d != rounds {
+				t.Errorf("fanin %d: proc %d completed %d of %d episodes", fanin, i, d, rounds)
+			}
+		}
+		if overlaps == 0 {
+			t.Errorf("fanin %d: no arrival reached a node inside its departure loop", fanin)
 		}
 	}
 }
